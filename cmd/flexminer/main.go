@@ -17,10 +17,10 @@
 // Either -graph (a file, or a sharded store directory written by gengraph
 // -shards) or -dataset (a built-in Table I stand-in) selects the input; with
 // -mmap a binary CSR file is memory-mapped zero-copy instead of loaded onto
-// the heap (see README "Large graphs"); either -app (TC, k-CL, SL-4cycle, SL-diamond, 3-MC, 4-MC) or
-// -pattern (catalog name, edge-induced SL) selects the workload. -timeout
-// bounds the run: on expiry the partial counts and stats are printed and the
-// command exits nonzero. -kernel pins the CPU engine's set-kernel policy
+// the heap (see README "Large graphs"); either -app (TC, k-CL, SL-4cycle,
+// SL-diamond, SL-house, 3-MC, 4-MC) or -pattern (catalog name, edge-induced
+// SL) selects the workload. -timeout bounds the run: on expiry the partial
+// counts and stats are printed and the command exits nonzero. -kernel pins the CPU engine's set-kernel policy
 // (auto/merge/gallop/bitmap) for A/B runs; -aux selects the auxiliary-graph
 // pruning layer (off/auto/on, README "Auxiliary-graph pruning"). Neither
 // affects -engine sim.
@@ -85,7 +85,7 @@ func main() {
 	flag.StringVar(&o.graphPath, "graph", "", "input graph file (edge list, or .bin CSR)")
 	flag.StringVar(&o.dataset, "dataset", "", "built-in dataset stand-in (As, Mi, Pa, Yo, Lj, Or)")
 	flag.BoolVar(&o.useMmap, "mmap", false, "memory-map the -graph .bin file zero-copy instead of loading it onto the heap")
-	flag.StringVar(&o.app, "app", "", "application: TC, 4-CL, 5-CL, SL-4cycle, SL-diamond, 3-MC, 4-MC")
+	flag.StringVar(&o.app, "app", "", "application: TC, 4-CL, 5-CL, SL-4cycle, SL-diamond, SL-house, 3-MC, 4-MC")
 	flag.StringVar(&o.patName, "pattern", "", "pattern name for edge-induced subgraph listing")
 	flag.BoolVar(&o.induced, "induced", false, "vertex-induced matching for -pattern")
 	flag.StringVar(&o.engine, "engine", "cpu", "cpu, sim, or both")
@@ -386,44 +386,23 @@ func inputName(graphPath, dataset string) string {
 	return graphPath
 }
 
-// buildPlan compiles the requested workload and returns the store the plan
-// must run on. Clique apps mine the degree-oriented DAG: an input that is
-// already a DAG (gengraph -orient) is used as-is; a symmetric in-heap graph
-// is oriented on the fly; a symmetric mapped or sharded store cannot be —
-// the mapping is read-only, so the orientation must happen at generation
-// time.
+// buildPlan compiles the requested workload (apps resolve through the
+// experiment harness's table, bench.PlanForApp) and returns the store the
+// plan must run on. Clique apps mine the degree-oriented DAG: an input that
+// is already a DAG (gengraph -orient) is used as-is; a symmetric in-heap
+// graph is oriented on the fly; a symmetric mapped or sharded store cannot
+// be — the mapping is read-only, so the orientation must happen at
+// generation time.
 func buildPlan(g graph.Store, app, patName string, induced bool) (*plan.Plan, graph.Store, error) {
 	switch {
 	case app != "" && patName != "":
 		return nil, nil, fmt.Errorf("-app and -pattern are mutually exclusive")
 	case app != "":
-		var k int
-		if app == "TC" {
-			k = 3
-		} else if _, err := fmt.Sscanf(app, "%d-CL", &k); err == nil && k >= 2 {
-			// k parsed
-		} else if app == "3-MC" || app == "4-MC" {
-			kk := 3
-			if app == "4-MC" {
-				kk = 4
-			}
-			pl, err := plan.CompileMotifs(kk, plan.Options{})
-			return pl, g, err
-		} else if len(app) > 3 && app[:3] == "SL-" {
-			p, err := pattern.ByName(app[3:])
-			if err != nil {
-				return nil, nil, err
-			}
-			pl, err := plan.Compile(p, plan.Options{})
-			return pl, g, err
-		} else {
-			return nil, nil, fmt.Errorf("unknown app %q", app)
-		}
-		pl, err := plan.CompileCliqueDAG(k)
+		pl, needsDAG, err := bench.PlanForApp(app)
 		if err != nil {
 			return nil, nil, err
 		}
-		if g.IsDAG() {
+		if !needsDAG || g.IsDAG() {
 			return pl, g, nil
 		}
 		hg, ok := g.(*graph.Graph)

@@ -42,7 +42,7 @@ func runServe(args []string) error {
 	graphPath := fs.String("graph", "", "input graph file (edge list, .bin CSR, or sharded store directory)")
 	dataset := fs.String("dataset", "", "built-in dataset stand-in (As, Mi, Pa, Yo, Lj, Or)")
 	useMmap := fs.Bool("mmap", false, "memory-map the -graph .bin file zero-copy instead of loading it onto the heap")
-	app := fs.String("app", "", "application: TC, 4-CL, 5-CL, SL-4cycle, SL-diamond, 3-MC, 4-MC")
+	app := fs.String("app", "", "application: TC, 4-CL, 5-CL, SL-4cycle, SL-diamond, SL-house, 3-MC, 4-MC")
 	patName := fs.String("pattern", "", "pattern name for edge-induced subgraph listing")
 	induced := fs.Bool("induced", false, "vertex-induced matching for -pattern")
 	threads := fs.Int("threads", runtime.GOMAXPROCS(0), "CPU engine threads")

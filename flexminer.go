@@ -56,7 +56,7 @@ type (
 	Plan = plan.Plan
 	// CompileOptions configure the compiler (induced semantics, ablations).
 	CompileOptions = plan.Options
-	// MineOptions configure the CPU engine (threads, c-map mode, kernels).
+	// MineOptions configure the CPU engine (threads, slicing, kernels, aux graphs).
 	MineOptions = core.Options
 	// MineResult is the CPU engine outcome.
 	MineResult = core.Result

@@ -19,10 +19,12 @@ type Workload struct {
 	Plan    *plan.Plan
 }
 
-// planForApp compiles the plan used by one of the standard applications.
-// Cliques (TC, k-CL) use the orientation optimization; SL uses edge-induced
-// single-pattern plans; k-MC uses the vertex-induced motif tree.
-func planForApp(app string) (*plan.Plan, bool, error) {
+// PlanForApp compiles the plan used by one of the standard applications
+// (TC, k-CL, SL-4cycle, SL-diamond, SL-house, 3-MC, 4-MC) and reports
+// whether it must run on the degree-oriented DAG. Cliques (TC, k-CL) use the
+// orientation optimization; SL uses edge-induced single-pattern plans; k-MC
+// uses the vertex-induced motif tree.
+func PlanForApp(app string) (*plan.Plan, bool, error) {
 	switch app {
 	case "TC":
 		pl, err := plan.CompileCliqueDAG(3)
@@ -85,7 +87,7 @@ var dagCache = map[string]*graph.Graph{}
 // oriented DAG per dataset (the paper amortizes orientation the same way:
 // "once converted, the graph can be used for any k-CL").
 func NewWorkload(app, dataset string) (Workload, error) {
-	pl, needsDAG, err := planForApp(app)
+	pl, needsDAG, err := PlanForApp(app)
 	if err != nil {
 		return Workload{}, err
 	}

@@ -6,8 +6,8 @@
 //     linear-probing hash table whose deletions just invalidate entries
 //     (correct because GPM updates it in a bulk, stack-disciplined fashion,
 //     §VI-A) with occupancy-based overflow signaling (§VI-B);
-//   - Vector: the |V|-sized software c-map of prior work [15, 21], kept for
-//     comparison and as a test oracle.
+//   - Vector: the |V|-sized software c-map of prior work [15, 21], which
+//     backs the simulator's unlimited c-map and serves as a test oracle.
 package cmap
 
 import (

@@ -224,27 +224,7 @@ func (w *worker) auxBuild(st *auxState, spec *plan.AuxSpec, x graph.VID, pos int
 	} else {
 		// Chain through the ping-pong scratch, then copy the final row out —
 		// the scratch is clobbered by the consumer's residual operations.
-		useA := true
-		step := func(j int, diff bool) {
-			dst := w.mergeB[:0]
-			if useA {
-				dst = w.mergeA[:0]
-			}
-			dst = w.setOp(dst, cur, w.emb[j], diff, bound)
-			if useA {
-				w.mergeA = dst
-			} else {
-				w.mergeB = dst
-			}
-			cur = dst
-			useA = !useA
-		}
-		for _, j := range spec.Intersect {
-			step(j, false)
-		}
-		for _, j := range spec.Difference {
-			step(j, true)
-		}
+		cur = w.chain(cur, spec.Intersect, spec.Difference, bound)
 		st.arena = setops.AppendBounded(st.arena, cur, bound)
 	}
 	n := int32(len(st.arena)) - off

@@ -26,8 +26,7 @@ func compileAux(t *testing.T, p *pattern.Pattern) *plan.Plan {
 
 // TestAuxModeCountInvariance is the correctness core: mined counts must be
 // bit-identical across aux off/auto/on, for plans with directives (house,
-// 5-motif census) and without (cliques), under both kernel policies and with
-// the c-map in the loop.
+// 5-motif census) and without (cliques), under both kernel policies.
 func TestAuxModeCountInvariance(t *testing.T) {
 	inputs := map[string]*graph.Graph{
 		"er":   graph.ErdosRenyi(300, 2400, 17),
@@ -45,30 +44,28 @@ func TestAuxModeCountInvariance(t *testing.T) {
 	for gname, g := range inputs {
 		for pname, pl := range plans {
 			for _, kernel := range []KernelPolicy{KernelAuto, KernelMergeOnly} {
-				for _, cm := range []CMapMode{CMapNone, CMapHash} {
-					base := Options{Threads: 4, Kernel: kernel, CMap: cm, SliceElems: 16}
-					off, err := Mine(g, pl, base)
+				base := Options{Threads: 4, Kernel: kernel, SliceElems: 16}
+				off, err := Mine(g, pl, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, mode := range []AuxMode{AuxAuto, AuxOn} {
+					o := base
+					o.AuxGraph = mode
+					got, err := Mine(g, pl, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, mode := range []AuxMode{AuxAuto, AuxOn} {
-						o := base
-						o.AuxGraph = mode
-						got, err := Mine(g, pl, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got.Counts, off.Counts) {
-							t.Fatalf("%s/%s/%v/cmap%d aux=%v counts %v != off %v",
-								gname, pname, kernel, cm, mode, got.Counts, off.Counts)
-						}
-						if pname == "house" && got.Stats.AuxBuilt == 0 {
-							t.Errorf("%s/house aux=%v built no aux rows", gname, mode)
-						}
-						if pname == "4-CL" && got.Stats.AuxBuilt != 0 {
-							t.Errorf("%s/4-CL aux=%v built %d aux rows; clique plans carry no directives",
-								gname, mode, got.Stats.AuxBuilt)
-						}
+					if !reflect.DeepEqual(got.Counts, off.Counts) {
+						t.Fatalf("%s/%s/%v aux=%v counts %v != off %v",
+							gname, pname, kernel, mode, got.Counts, off.Counts)
+					}
+					if pname == "house" && got.Stats.AuxBuilt == 0 {
+						t.Errorf("%s/house aux=%v built no aux rows", gname, mode)
+					}
+					if pname == "4-CL" && got.Stats.AuxBuilt != 0 {
+						t.Errorf("%s/4-CL aux=%v built %d aux rows; clique plans carry no directives",
+							gname, mode, got.Stats.AuxBuilt)
 					}
 				}
 			}
@@ -198,7 +195,7 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 func TestAuxScratchPooledAllocs(t *testing.T) {
 	g := graph.RMAT(10, 6000, 0.57, 0.19, 0.19, 5)
 	pl := compileAux(t, pattern.House())
-	o := Options{Threads: 1, Kernel: KernelMergeOnly, HubBitmaps: -1, AuxGraph: AuxOn}.withDefaults()
+	o := Options{Threads: 1, Kernel: KernelMergeOnly, AuxGraph: AuxOn}.withDefaults()
 	w := newWorker(g, pl, o)
 	tasks := sched.Expand(g, 0)
 	for _, task := range tasks { // warm: grow arenas/levels to steady state
@@ -230,7 +227,7 @@ func TestAuxMineConstantHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := compileAux(t, pattern.House())
-	want, err := Mine(g, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
+	want, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +240,7 @@ func TestAuxMineConstantHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	res, err := Mine(m, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
+	res, err := Mine(m, pl, Options{Threads: 2, Kernel: KernelMergeOnly, AuxGraph: AuxOn})
 	if err != nil {
 		t.Fatal(err)
 	}

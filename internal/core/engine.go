@@ -11,26 +11,11 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/cmap"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/setops"
-)
-
-// CMapMode selects the connectivity-map implementation used by the engine.
-type CMapMode int
-
-const (
-	// CMapNone performs all connectivity checks with merge-based set
-	// operations (the GraphZero baseline configuration).
-	CMapNone CMapMode = iota
-	// CMapVector uses the dense |V|-sized software c-map of prior work.
-	CMapVector
-	// CMapHash uses the paper's banked linear-probing hash map model, with
-	// overflow fallback to set operations.
-	CMapHash
 )
 
 // SliceOff disables hub-vertex task slicing (Options.SliceElems).
@@ -56,27 +41,12 @@ type Options struct {
 	// invariant under slicing; only scheduling (and Stats.Tasks) changes.
 	SliceElems int
 
-	// CMap selects the connectivity-map mode (default CMapNone).
-	CMap CMapMode
-
-	// CMapBytes sizes the hash c-map (default 8 kB, the paper's choice);
-	// only used with CMapHash.
-	CMapBytes int
-
-	// CMapBanks is the hash c-map bank count (default 4).
-	CMapBanks int
-
 	// Kernel selects the set-operation kernels (default KernelAuto:
 	// input-aware galloping/bitmap/merge selection). Counts are invariant
 	// under this policy; only CPU wall-clock and the per-kernel Stats
 	// counters change. The simulator ignores it — SIU/SDU cycle accounting
 	// is always merge-model (see kernels.go).
 	Kernel KernelPolicy
-
-	// HubBitmaps caps how many top-degree vertices get precomputed dense
-	// adjacency bitmaps (KernelAuto/KernelBitmap only). 0 picks
-	// graph.DefaultHubBitmaps; negative disables the index.
-	HubBitmaps int
 
 	// AuxGraph enables plan-directed auxiliary graphs (default AuxOff, see
 	// aux.go): materialize the pruned adjacency row of a deep op's extender
@@ -122,12 +92,6 @@ func (o Options) withDefaults() Options {
 	if o.Threads <= 0 {
 		o.Threads = runtime.GOMAXPROCS(0)
 	}
-	if o.CMapBytes <= 0 {
-		o.CMapBytes = 8 << 10
-	}
-	if o.CMapBanks <= 0 {
-		o.CMapBanks = 4
-	}
 	return o
 }
 
@@ -161,8 +125,6 @@ type Stats struct {
 	// single task reached. Workers run tasks concurrently, so peaks merge by
 	// max, not sum — a sum would depend on which worker ran which task.
 	AuxBytesPeak int64
-
-	CMap cmap.Stats
 }
 
 func (s *Stats) add(o *Stats) {
@@ -180,7 +142,6 @@ func (s *Stats) add(o *Stats) {
 	if o.AuxBytesPeak > s.AuxBytesPeak {
 		s.AuxBytesPeak = o.AuxBytesPeak
 	}
-	s.CMap.Add(o.CMap)
 }
 
 // Result is the outcome of a mining run: one count per plan pattern.
@@ -225,19 +186,20 @@ func NewEngine(g graph.Store, pl *plan.Plan, o Options) (*Engine, error) {
 }
 
 // hubIndexFor resolves the hub-bitmap index the options call for: nil when
-// the policy never probes bitmaps or the index is disabled, or when the
-// store cannot host one; the store's shared (lazily built) index otherwise.
+// the policy never probes bitmaps or the store cannot host one; otherwise the
+// store's shared (lazily built) index over its graph.DefaultHubBitmaps
+// highest-degree vertices.
 // All built-in backends implement graph.HubIndexer with one shared build
 // routine, so engine statistics stay invariant across storage backends.
 func hubIndexFor(g graph.Store, o Options) *graph.HubIndex {
-	if o.HubBitmaps < 0 || (o.Kernel != KernelAuto && o.Kernel != KernelBitmap) {
+	if o.Kernel != KernelAuto && o.Kernel != KernelBitmap {
 		return nil
 	}
 	hi, ok := g.(graph.HubIndexer)
 	if !ok {
 		return nil
 	}
-	return hi.EnsureHubIndex(o.HubBitmaps)
+	return hi.EnsureHubIndex(graph.DefaultHubBitmaps)
 }
 
 // sliceElems resolves the slicing policy against the engine's input graph.
@@ -371,19 +333,18 @@ func MineContext(ctx context.Context, g graph.Store, pl *plan.Plan, o Options) (
 }
 
 // worker holds the per-thread DFS state: the ancestor stack, per-level
-// candidate buffers (which double as memoized frontiers), and the c-map.
+// candidate buffers (which double as memoized frontiers), and the set-op
+// scratch.
 type worker struct {
 	g  graph.Store
 	pl *plan.Plan
 	o  Options
 
-	emb       []graph.VID   // ancestor stack
-	levels    [][]graph.VID // per-level candidate buffers / frontiers
-	mergeA    []graph.VID   // ping-pong scratch for chained set operations
-	mergeB    []graph.VID
-	hub       *graph.HubIndex // shared hub-adjacency bitmaps (nil if unused)
-	cm        cmap.Map
-	cmLevelOK []bool // c-map insertion succeeded at level (no overflow)
+	emb    []graph.VID   // ancestor stack
+	levels [][]graph.VID // per-level candidate buffers / frontiers
+	mergeA []graph.VID   // ping-pong scratch for chained set operations
+	mergeB []graph.VID
+	hub    *graph.HubIndex // shared hub-adjacency bitmaps (nil if unused)
 
 	// Auxiliary-graph runtime (aux.go): one pooled state per plan.AuxSpec
 	// (nil when the mode or plan disable the layer), the static cost gate,
@@ -441,15 +402,14 @@ func (w *worker) cancelled() bool {
 
 func newWorker(g graph.Store, pl *plan.Plan, o Options) *worker {
 	w := &worker{
-		g:         g,
-		pl:        pl,
-		o:         o,
-		emb:       make([]graph.VID, pl.K),
-		levels:    make([][]graph.VID, pl.K),
-		hub:       hubIndexFor(g, o),
-		cmLevelOK: make([]bool, pl.K),
-		counts:    make([]int64, len(pl.Patterns)),
-		trace:     o.Trace,
+		g:      g,
+		pl:     pl,
+		o:      o,
+		emb:    make([]graph.VID, pl.K),
+		levels: make([][]graph.VID, pl.K),
+		hub:    hubIndexFor(g, o),
+		counts: make([]int64, len(pl.Patterns)),
+		trace:  o.Trace,
 	}
 	for i := range w.levels {
 		w.levels[i] = make([]graph.VID, 0, g.MaxDegree())
@@ -459,12 +419,6 @@ func newWorker(g graph.Store, pl *plan.Plan, o Options) *worker {
 	w.mergeA = make([]graph.VID, 0, g.MaxDegree())
 	w.mergeB = make([]graph.VID, 0, g.MaxDegree())
 	w.aux, w.auxGate = newAuxStates(g, pl, o)
-	switch o.CMap {
-	case CMapVector:
-		w.cm = cmap.NewVector(g.NumVertices())
-	case CMapHash:
-		w.cm = cmap.NewHashMapBytes(o.CMapBytes, o.CMapBanks)
-	}
 	return w
 }
 
@@ -483,17 +437,11 @@ func (w *worker) runTask(t sched.Task) bool {
 	w.emb[0] = t.V0
 	w.sliceLo, w.sliceHi = t.Lo, t.Hi
 	w.stats.Extensions++
-	inserted := w.cmapInsert(root.Op, 0, t.V0)
 	w.auxActivate(root.Op)
 	for _, c := range root.Children {
 		w.walk(c, 1)
 	}
 	w.auxRelease(root.Op)
-	if inserted {
-		// Self-cleaning during backtracking (§VI): removing the root level
-		// leaves the map empty for the next task.
-		w.cmapRemove(root.Op, 0, t.V0)
-	}
 	if w.trace.Enabled() {
 		w.emitTaskTrace(t, &before)
 	}
@@ -550,40 +498,12 @@ func (w *worker) walk(n *plan.Node, depth int) {
 		}
 		w.emb[depth] = v
 		w.stats.Extensions++
-		inserted := w.cmapInsert(n.Op, depth, v)
 		w.auxActivate(n.Op)
 		for _, c := range n.Children {
 			w.walk(c, depth+1)
 		}
 		w.auxRelease(n.Op)
-		if inserted {
-			w.cmapRemove(n.Op, depth, v)
-		}
 	}
-}
-
-//flexlint:noalloc
-func (w *worker) cmapInsert(op plan.VertexOp, depth int, v graph.VID) bool {
-	if w.cm == nil || !op.InsertCMap {
-		return false
-	}
-	ok := w.cm.TryInsertLevel(w.g.Adj(v), depth, w.cmapBound(op))
-	w.cmLevelOK[depth] = ok
-	return ok
-}
-
-//flexlint:noalloc
-func (w *worker) cmapRemove(op plan.VertexOp, depth int, v graph.VID) {
-	w.cm.RemoveLevel(w.g.Adj(v), depth, w.cmapBound(op))
-	w.cmLevelOK[depth] = false
-}
-
-//flexlint:noalloc
-func (w *worker) cmapBound(op plan.VertexOp) graph.VID {
-	if op.CMapBound == plan.NoLevel {
-		return cmap.NoBound
-	}
-	return w.emb[op.CMapBound]
 }
 
 // bound returns the effective ID upper bound: the minimum over the op's
@@ -602,18 +522,18 @@ func (w *worker) bound(op plan.VertexOp) graph.VID {
 
 // candidates computes the qualified candidate list for op into the per-level
 // buffer, applying (in order) the frontier/adjacency base, the symmetry
-// bound, connectivity constraints (via c-map queries when covered, set
-// operations otherwise) and explicit distinctness checks.
+// bound, the chained connectivity set operations and explicit distinctness
+// checks.
 //
 //flexlint:noalloc
 func (w *worker) candidates(op plan.VertexOp, depth int) []graph.VID {
 	bound := w.bound(op)
 	base, intersect, difference := w.baseFor(op, depth, bound)
 	out := w.levels[depth][:0]
-	if w.cmapCovers(intersect, difference) {
-		out = w.filterViaCMap(out, base, op, intersect, difference)
-	} else {
-		out = w.filterViaSetOps(out, base, op, intersect, difference, bound)
+	for _, v := range w.chain(base, intersect, difference, bound) {
+		if w.distinct(v, op) {
+			out = append(out, v)
+		}
 	}
 	w.levels[depth] = out
 	return out
@@ -655,94 +575,26 @@ func (w *worker) baseFor(op plan.VertexOp, depth int, bound graph.VID) (base []g
 	return setops.Bounded(adj, bound), op.Connected, op.Disconnected
 }
 
-// cmapCovers reports whether every queried level was successfully inserted
-// into the c-map (hint present and no overflow).
+// chain applies the chained set operations to base under bound — every
+// intersect level, then every difference level — through the policy-selected
+// kernels (merge = the SIU/SDU path, galloping, hub bitmap; see kernels.go).
+// Under KernelMergeOnly this is exactly the classic merge chain. Results
+// ping-pong between two worker-owned scratch buffers; base (graph adjacency,
+// an aux row or a memoized frontier) is never written. With no operations
+// the result is base itself.
 //
 //flexlint:noalloc
-func (w *worker) cmapCovers(intersect, difference []int) bool {
-	if w.cm == nil {
-		return false
-	}
-	if len(intersect) == 0 && len(difference) == 0 {
-		return false // nothing to query; plain iteration is cheaper
-	}
-	for _, j := range intersect {
-		if !w.cmLevelOK[j] {
-			return false
-		}
-	}
-	for _, j := range difference {
-		if !w.cmLevelOK[j] {
-			return false
-		}
-	}
-	return true
-}
-
-// filterViaCMap checks each base element's connectivity with single c-map
-// lookups (§VI: "all the set operations can be replaced by querying the
-// c-map").
-//
-//flexlint:noalloc
-func (w *worker) filterViaCMap(out, base []graph.VID, op plan.VertexOp, intersect, difference []int) []graph.VID {
-	var need, avoid cmap.Bits
-	for _, j := range intersect {
-		need |= 1 << uint(j)
-	}
-	for _, j := range difference {
-		avoid |= 1 << uint(j)
-	}
-	for _, v := range base {
-		bits := w.cm.Lookup(v)
-		if bits&need != need || bits&avoid != 0 {
-			continue
-		}
-		if !w.distinct(v, op) {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// filterViaSetOps applies chained set intersections/differences through the
-// policy-selected kernels (merge = the SIU/SDU path, galloping, hub bitmap;
-// see kernels.go) and then the distinctness filter. Under KernelMergeOnly
-// this is exactly the classic merge chain.
-//
-//flexlint:noalloc
-func (w *worker) filterViaSetOps(out, base []graph.VID, op plan.VertexOp, intersect, difference []int, bound graph.VID) []graph.VID {
-	// Chained operations ping-pong between two worker-owned scratch
-	// buffers; base (graph adjacency or a memoized frontier) is never
-	// written.
+func (w *worker) chain(base []graph.VID, intersect, difference []int, bound graph.VID) []graph.VID {
 	cur := base
-	useA := true
-	step := func(j int, diff bool) {
-		dst := w.mergeB[:0]
-		if useA {
-			dst = w.mergeA[:0]
-		}
-		dst = w.setOp(dst, cur, w.emb[j], diff, bound)
-		if useA {
-			w.mergeA = dst
-		} else {
-			w.mergeB = dst
-		}
-		cur = dst
-		useA = !useA
-	}
 	for _, j := range intersect {
-		step(j, false)
+		cur = w.setOp(w.mergeA[:0], cur, w.emb[j], false, bound)
+		w.mergeA, w.mergeB = w.mergeB, cur
 	}
 	for _, j := range difference {
-		step(j, true)
+		cur = w.setOp(w.mergeA[:0], cur, w.emb[j], true, bound)
+		w.mergeA, w.mergeB = w.mergeB, cur
 	}
-	for _, v := range cur {
-		if w.distinct(v, op) {
-			out = append(out, v)
-		}
-	}
-	return out
+	return cur
 }
 
 // distinct applies the explicit inequality checks the compiler could not

@@ -75,43 +75,6 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestEngineCMapModes verifies that the vector and hardware c-map paths
-// produce identical counts to the set-operation path.
-func TestEngineCMapModes(t *testing.T) {
-	gs := testGraphs(t)
-	for _, p := range testPatterns() {
-		pl, err := plan.Compile(p, plan.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for gname, g := range gs {
-			base, err := Mine(g, pl, Options{Threads: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []CMapMode{CMapVector, CMapHash} {
-				got, err := Mine(g, pl, Options{Threads: 2, CMap: mode, CMapBytes: 4 << 10})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Count() != base.Count() {
-					t.Errorf("%s on %s cmap mode %d: got %d want %d",
-						p.Name(), gname, mode, got.Count(), base.Count())
-				}
-			}
-			// A pathologically tiny c-map must still be correct, via the
-			// overflow fallback (§VI-B).
-			tiny, err := Mine(g, pl, Options{Threads: 2, CMap: CMapHash, CMapBytes: 30})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tiny.Count() != base.Count() {
-				t.Errorf("%s on %s tiny cmap: got %d want %d", p.Name(), gname, tiny.Count(), base.Count())
-			}
-		}
-	}
-}
-
 // TestCliqueDAGPath cross-checks the orientation-based clique plan against
 // the generic symmetric plan and closed forms on K_n.
 func TestCliqueDAGPath(t *testing.T) {

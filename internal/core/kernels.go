@@ -21,7 +21,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cmap"
 	"repro/internal/graph"
 	"repro/internal/plan"
 	"repro/internal/setops"
@@ -218,17 +217,14 @@ func (w *worker) setOpCount(cur []graph.VID, anc graph.VID, diff bool, bound gra
 
 // leafCount computes the qualified-candidate count for a leaf op without
 // materializing w.levels[depth] — the count-only leaf kernel. It mirrors
-// candidates() exactly: same base resolution, same c-map coverage decision,
-// same chained operations; only the final operation runs as a counting
-// kernel and the distinctness filter becomes a membership adjustment.
+// candidates() exactly: same base resolution, same chained operations; only
+// the final operation runs as a counting kernel and the distinctness filter
+// becomes a membership adjustment.
 //
 //flexlint:noalloc
 func (w *worker) leafCount(op plan.VertexOp, depth int) int64 {
 	bound := w.bound(op)
 	base, intersect, difference := w.baseFor(op, depth, bound)
-	if w.cmapCovers(intersect, difference) {
-		return w.countViaCMap(base, op, intersect, difference)
-	}
 	nOps := len(intersect) + len(difference)
 	if nOps == 0 {
 		// Plain adjacency/frontier leaf: the count is the bounded length
@@ -243,22 +239,6 @@ func (w *worker) leafCount(op plan.VertexOp, depth int) int64 {
 	}
 
 	// Materialize every chained operation except the last, then count.
-	cur := base
-	useA := true
-	step := func(j int, diff bool) {
-		dst := w.mergeB[:0]
-		if useA {
-			dst = w.mergeA[:0]
-		}
-		dst = w.setOp(dst, cur, w.emb[j], diff, bound)
-		if useA {
-			w.mergeA = dst
-		} else {
-			w.mergeB = dst
-		}
-		cur = dst
-		useA = !useA
-	}
 	lastIdx, lastDiff := 0, false
 	if len(difference) > 0 {
 		lastIdx, lastDiff = difference[len(difference)-1], true
@@ -267,12 +247,7 @@ func (w *worker) leafCount(op plan.VertexOp, depth int) int64 {
 		lastIdx = intersect[len(intersect)-1]
 		intersect = intersect[:len(intersect)-1]
 	}
-	for _, j := range intersect {
-		step(j, false)
-	}
-	for _, j := range difference {
-		step(j, true)
-	}
+	cur := w.chain(base, intersect, difference, bound)
 	last := w.emb[lastIdx]
 	cnt := w.setOpCount(cur, last, lastDiff, bound)
 
@@ -291,32 +266,6 @@ func (w *worker) leafCount(op plan.VertexOp, depth int) int64 {
 		if in {
 			cnt--
 		}
-	}
-	return cnt
-}
-
-// countViaCMap is filterViaCMap without materialization: identical c-map
-// lookups (so c-map statistics stay invariant), summed instead of appended.
-//
-//flexlint:noalloc
-func (w *worker) countViaCMap(base []graph.VID, op plan.VertexOp, intersect, difference []int) int64 {
-	var need, avoid cmap.Bits
-	for _, j := range intersect {
-		need |= 1 << uint(j)
-	}
-	for _, j := range difference {
-		avoid |= 1 << uint(j)
-	}
-	var cnt int64
-	for _, v := range base {
-		bits := w.cm.Lookup(v)
-		if bits&need != need || bits&avoid != 0 {
-			continue
-		}
-		if !w.distinct(v, op) {
-			continue
-		}
-		cnt++
 	}
 	return cnt
 }

@@ -3,7 +3,7 @@ package core
 // Tests for the engine's integration with the internal/sched runtime:
 // scheduler invariance (counts must not depend on threads, slicing, or the
 // scheduler itself), context cancellation (prompt return, no goroutine
-// leak, balanced c-map), and the empty-result Count guard.
+// leak), and the empty-result Count guard.
 
 import (
 	"context"

@@ -90,7 +90,6 @@ func TestStorageBackendEquivalence(t *testing.T) {
 	opts := []Options{
 		{Threads: 4},
 		{Threads: 8, Kernel: KernelMergeOnly, SliceElems: 16},
-		{Threads: 4, CMap: CMapHash},
 	}
 	for gname, g := range inputs {
 		for dag := 0; dag < 2; dag++ {
@@ -223,7 +222,7 @@ func TestMappedMineConstantHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mine(m, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly})
+	res, err := Mine(m, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +249,7 @@ func TriangleCountStoreFixture(g *graph.Graph) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := Mine(g, pl, Options{Threads: 2, HubBitmaps: -1, Kernel: KernelMergeOnly})
+	res, err := Mine(g, pl, Options{Threads: 2, Kernel: KernelMergeOnly})
 	if err != nil {
 		return 0, err
 	}

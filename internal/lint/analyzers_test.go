@@ -93,6 +93,8 @@ func TestNoallocHotPathCoverage(t *testing.T) {
 		"(repro/internal/core.worker).walk",
 		"(repro/internal/core.worker).runTask",
 		"(repro/internal/core.worker).leafCount",
+		"(repro/internal/core.worker).candidates",
+		"(repro/internal/core.worker).chain",
 		"(repro/internal/cmap.HashMap).Lookup",
 		"(repro/internal/cmap.Map).Lookup",
 		"repro/internal/setops.IntersectCost",

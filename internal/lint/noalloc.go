@@ -24,8 +24,8 @@ package lint
 //   - string concatenation and string<->[]byte conversions (numeric and
 //     named-type conversions are free);
 //   - closures, except immediately-invoked literals and literals bound to a
-//     local that is only ever called directly (the `step := func(...)` idiom
-//     in leafCount/filterViaSetOps/auxBuild — non-escaping, stack-allocated);
+//     local that is only ever called directly (the `step := func(...)`
+//     idiom — non-escaping, stack-allocated);
 //   - go statements and panic.
 //
 // Calls are closed over the annotation: a callee must itself be annotated or

@@ -51,7 +51,7 @@ func (p *pool) derived(xs []int) int {
 	return len(out)
 }
 
-// steps uses the leafCount idiom: an IIFE and a direct-called local closure,
+// steps uses the step-closure idiom: an IIFE and a direct-called local closure,
 // both non-escaping.
 //
 //flexlint:noalloc

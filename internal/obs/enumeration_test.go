@@ -28,8 +28,6 @@ var cmapMetricNames = []string{
 var coreStatsMetricNames = []string{
 	"aux_built", "aux_bytes_peak", "aux_reused", "aux_skipped_cost_model",
 	"bitmap_probes",
-	"c_map.hits", "c_map.inserts", "c_map.lookups",
-	"c_map.overflows", "c_map.probes", "c_map.removes",
 	"candidates",
 	"extensions",
 	"frontier_reuses",

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -60,6 +62,62 @@ func TestSimulatorCountsMatchEngine(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// randomConnectedPattern draws a connected k-vertex pattern: a random
+// spanning tree plus each remaining edge with probability 1/3.
+func randomConnectedPattern(r *rand.Rand, k int) *pattern.Pattern {
+	p := pattern.New(k)
+	for v := 1; v < k; v++ {
+		p.AddEdge(v, r.Intn(v))
+	}
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			if !p.HasEdge(u, v) && r.Intn(3) == 0 {
+				p.AddEdge(u, v)
+			}
+		}
+	}
+	return p
+}
+
+// TestRandomPatternsCMapAgree checks the compiler's c-map hints (InsertCMap,
+// CMapBound, CMapQuery) beyond the fixed catalog: on random connected
+// 3–5-vertex patterns, the accelerator's c-map paths — a small banked map,
+// one that overflows constantly, and the unlimited map — must count exactly
+// what the CPU engine counts with set operations alone.
+func TestRandomPatternsCMapAgree(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := randomConnectedPattern(r, 3+r.Intn(3))
+		g := graph.ChungLu(60, 250, 2.5, uint64(seed)+1)
+		pl, err := plan.Compile(p, plan.Options{})
+		if err != nil {
+			t.Logf("seed=%d pattern=%s: compile: %v", seed, p, err)
+			return false
+		}
+		want, err := core.Mine(g, pl, core.Options{Threads: 2})
+		if err != nil {
+			t.Logf("seed=%d pattern=%s: mine: %v", seed, p, err)
+			return false
+		}
+		for _, cfg := range []Config{
+			DefaultConfig().WithPEs(4).WithCMapBytes(1 << 10),
+			DefaultConfig().WithPEs(4).WithCMapBytes(64), // constant overflow
+			DefaultConfig().WithPEs(4).WithUnlimitedCMap(),
+		} {
+			got, err := Simulate(g, pl, cfg)
+			if err != nil || got.Count() != want.Count() {
+				t.Logf("seed=%d pattern=%s (cmap=%d,unl=%v): sim=%d engine=%d err=%v\n%s",
+					seed, p, cfg.CMapBytes, cfg.CMapUnlimited, got.Count(), want.Count(), err, pl)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 
