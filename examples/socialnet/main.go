@@ -31,8 +31,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Enumerate, so the timing below compares two enumeration strategies:
+	// by default the engine answers a 3-motif census in closed form.
 	start := time.Now()
-	res, err := flexminer.Mine(g, pl, flexminer.MineOptions{})
+	res, err := flexminer.Mine(g, pl, flexminer.MineOptions{Strategy: flexminer.StrategyDFS})
 	if err != nil {
 		log.Fatal(err)
 	}

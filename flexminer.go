@@ -56,7 +56,8 @@ type (
 	Plan = plan.Plan
 	// CompileOptions configure the compiler (induced semantics, ablations).
 	CompileOptions = plan.Options
-	// MineOptions configure the CPU engine (threads, slicing, kernels, aux graphs).
+	// MineOptions configure the CPU engine (threads, slicing, kernels, aux
+	// graphs, census strategy).
 	MineOptions = core.Options
 	// MineResult is the CPU engine outcome.
 	MineResult = core.Result
@@ -66,6 +67,9 @@ type (
 	// AuxMode selects the CPU engine's auxiliary-graph pruning layer (see
 	// MineOptions.AuxGraph); the accelerator model never consults it.
 	AuxMode = core.AuxMode
+	// Strategy selects closed-form motif census or DFS (see
+	// MineOptions.Strategy); the accelerator model never consults it.
+	Strategy = core.Strategy
 	// SimConfig configures the accelerator model.
 	SimConfig = sim.Config
 	// SimResult is the accelerator outcome (counts + cycle statistics).
@@ -99,6 +103,19 @@ const (
 // ParseAuxMode resolves an aux-graph mode name ("off", "auto", "on") as
 // accepted by the flexminer CLI's -aux flag.
 func ParseAuxMode(s string) (AuxMode, error) { return core.ParseAuxMode(s) }
+
+// Strategies for MineOptions.Strategy. StrategyAuto (the zero value)
+// answers complete vertex-induced 3- and 4-motif censuses in closed form
+// and mines every other plan by DFS; StrategyDFS always enumerates. Mined
+// counts are identical under both.
+const (
+	StrategyAuto = core.StrategyAuto
+	StrategyDFS  = core.StrategyDFS
+)
+
+// ErrCountOverflow is returned by Mine/MineContext when a closed-form census
+// count does not fit in int64.
+var ErrCountOverflow = core.ErrCountOverflow
 
 // NewGraph builds a simple undirected graph from an edge list over n
 // vertices, deduplicating edges and dropping self loops.

@@ -102,11 +102,12 @@ func Table2(quick bool) ([]Table2Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Both software baselines are merge-based systems; pin the
-			// kernel policy so Table II keeps modeling them (the adaptive
-			// kernels are benchmarked separately in SetopsBench).
+			// Both software baselines are merge-based enumerating systems;
+			// pin the kernel policy and the DFS so Table II keeps modeling
+			// them (the adaptive kernels are benchmarked separately in
+			// SetopsBench; the closed-form census would answer 3-MC).
 			start := now()
-			amEng, err := core.NewEngine(amw.G, amw.Plan, core.Options{Threads: BaselineThreads, Kernel: core.KernelMergeOnly})
+			amEng, err := core.NewEngine(amw.G, amw.Plan, core.Options{Threads: BaselineThreads, Kernel: core.KernelMergeOnly, Strategy: core.StrategyDFS})
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +115,7 @@ func Table2(quick bool) ([]Table2Row, error) {
 			row.AutoMineSec = since(start)
 
 			start = now()
-			gzEng, err := core.NewEngine(w.G, w.Plan, core.Options{Threads: BaselineThreads, Kernel: core.KernelMergeOnly})
+			gzEng, err := core.NewEngine(w.G, w.Plan, core.Options{Threads: BaselineThreads, Kernel: core.KernelMergeOnly, Strategy: core.StrategyDFS})
 			if err != nil {
 				return nil, err
 			}
@@ -186,7 +187,7 @@ func Fig7(threadCounts []int) ([]Fig7Row, error) {
 	for _, th := range threadCounts {
 		// Merge-only: MElemPerSec is a merge-element throughput (bandwidth)
 		// proxy, which only means something when every set op merges.
-		eng, err := core.NewEngine(w.G, w.Plan, core.Options{Threads: th, Kernel: core.KernelMergeOnly})
+		eng, err := core.NewEngine(w.G, w.Plan, core.Options{Threads: th, Kernel: core.KernelMergeOnly, Strategy: core.StrategyDFS})
 		if err != nil {
 			return nil, err
 		}

@@ -118,9 +118,10 @@ func (w Workload) BaselineSeconds(threads int) (float64, []int64, error) {
 	return w.KernelSeconds(threads, core.KernelMergeOnly)
 }
 
-// KernelSeconds times the CPU engine under an explicit kernel policy.
+// KernelSeconds times the CPU engine's DFS under an explicit kernel policy
+// (always enumerating: the baselines it times have no closed-form census).
 func (w Workload) KernelSeconds(threads int, kernel core.KernelPolicy) (float64, []int64, error) {
-	eng, err := core.NewEngine(w.G, w.Plan, core.Options{Threads: threads, Kernel: kernel})
+	eng, err := core.NewEngine(w.G, w.Plan, core.Options{Threads: threads, Kernel: kernel, Strategy: core.StrategyDFS})
 	if err != nil {
 		return 0, nil, err
 	}

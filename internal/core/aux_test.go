@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -44,7 +45,9 @@ func TestAuxModeCountInvariance(t *testing.T) {
 	for gname, g := range inputs {
 		for pname, pl := range plans {
 			for _, kernel := range []KernelPolicy{KernelAuto, KernelMergeOnly} {
-				base := Options{Threads: 4, Kernel: kernel, SliceElems: 16}
+				// DFS pinned: the aux layer is a DFS mechanism, and the
+				// closed-form census would bypass it on the 4-MC plan.
+				base := Options{Threads: 4, Kernel: kernel, SliceElems: 16, Strategy: StrategyDFS}
 				off, err := Mine(g, pl, base)
 				if err != nil {
 					t.Fatal(err)
@@ -108,13 +111,14 @@ func TestAuxCrossBackendEquivalence(t *testing.T) {
 	}
 	for pname, pl := range plans {
 		for _, mode := range []AuxMode{AuxOff, AuxAuto, AuxOn} {
-			ref, err := Mine(stores["heap"], pl, Options{Threads: 4, SliceElems: 16, AuxGraph: mode})
+			// DFS pinned, as in TestAuxModeCountInvariance.
+			ref, err := Mine(stores["heap"], pl, Options{Threads: 4, SliceElems: 16, AuxGraph: mode, Strategy: StrategyDFS})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for sname, st := range stores {
 				for _, threads := range []int{1, 4, 16} {
-					got, err := Mine(st, pl, Options{Threads: threads, SliceElems: 16, AuxGraph: mode})
+					got, err := Mine(st, pl, Options{Threads: threads, SliceElems: 16, AuxGraph: mode, Strategy: StrategyDFS})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -146,10 +150,10 @@ func TestAuxCancellationMidMaterialization(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range stores {
-		var fired int64
+		var fired atomic.Int64 // OnTaskDone runs on worker goroutines
 		ctx, cancel := context.WithCancel(context.Background())
 		o := Options{Threads: 4, AuxGraph: AuxOn, OnTaskDone: func(w int, matches int64) {
-			if fired++; fired == 10 {
+			if fired.Add(1) == 10 {
 				cancel()
 			}
 		}}

@@ -57,6 +57,15 @@ type Options struct {
 	// paper-figure runners pin it off (enforced by the kernelpin analyzer).
 	AuxGraph AuxMode
 
+	// Strategy selects between the closed-form motif census and the DFS
+	// (default StrategyAuto: complete vertex-induced 3- and 4-motif
+	// censuses are answered from degree, triangle and 4-cycle counts, see
+	// census.go; every other plan is mined). Counts are invariant under
+	// this choice; Stats are not — the solver reports its tasks and scanned
+	// elements but no extensions or candidates. The simulator ignores it,
+	// and the paper-figure runners pin StrategyDFS (kernelpin analyzer).
+	Strategy Strategy
+
 	// Trace, when non-nil, receives scheduler events (task completions,
 	// work steals) and per-task kernel-dispatch summaries. Tracing never
 	// changes counts, stats, or scheduling — a nil Trace costs each task one
@@ -100,6 +109,10 @@ func (o Options) withDefaults() Options {
 // runs are comparable: SetOpIterations counts only merge-loop iterations
 // actually executed (the SIU/SDU work proxy), GallopProbes counts galloping
 // element comparisons, and BitmapProbes counts hub-bitmap word probes.
+//
+// A closed-form census run (Options.Strategy) reports Tasks and, as
+// SetOpIterations, the adjacency elements its own intersections scanned;
+// the DFS-only counters stay zero.
 type Stats struct {
 	Tasks           int64 // scheduled tasks executed (sub-tasks when slicing)
 	Extensions      int64 // vertices pushed onto ancestor stacks
@@ -164,6 +177,9 @@ type Engine struct {
 	g  graph.Store
 	pl *plan.Plan
 	o  Options
+
+	// census is set when Mine answers the plan in closed form (census.go).
+	census *censusPlan
 }
 
 // NewEngine validates the plan/graph pairing and returns an engine. Under a
@@ -181,8 +197,15 @@ func NewEngine(g graph.Store, pl *plan.Plan, o Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: plan %q requires a symmetric graph, got a DAG", pl.Patterns[0].Name())
 	}
 	o = o.withDefaults()
+	e := &Engine{g: g, pl: pl, o: o}
+	if o.Strategy == StrategyAuto {
+		if k, motif, ok := pl.MotifCensus(); ok {
+			e.census = &censusPlan{k: k, motif: motif}
+			return e, nil // the solver never probes hub bitmaps
+		}
+	}
 	hubIndexFor(g, o)
-	return &Engine{g: g, pl: pl, o: o}, nil
+	return e, nil
 }
 
 // hubIndexFor resolves the hub-bitmap index the options call for: nil when
@@ -219,46 +242,29 @@ func (e *Engine) sliceElems() int {
 }
 
 // TaskCount reports how many scheduler tasks a Mine call will dispatch under
-// the engine's slicing policy — serve mode uses it to size the
-// /debug/progress denominator before the run starts.
+// the engine's slicing policy (one per vertex for a closed-form census) —
+// serve mode uses it to size the /debug/progress denominator before the run
+// starts.
 func (e *Engine) TaskCount() int {
+	if e.census != nil {
+		return e.g.NumVertices()
+	}
 	return len(sched.Expand(e.g, e.sliceElems()))
 }
 
-// Mine runs the parallel DFS over all start vertices and returns per-pattern
-// counts. It is MineContext without cancellation.
-func (e *Engine) Mine() Result {
-	r, _ := e.mine(context.Background(), nil)
-	return r
-}
-
-// MineContext is Mine under a context: the run stops promptly once ctx is
-// cancelled or its deadline passes, returning the partial counts and stats
-// accumulated so far together with ctx's error.
-func (e *Engine) MineContext(ctx context.Context) (Result, error) {
-	return e.mine(ctx, nil)
-}
-
-// mine is the shared execution path of Mine, MineContext, List and
-// ListContext: expand the vertex set into (possibly hub-sliced) tasks, seed
-// them degree-descending, and drain them with the work-stealing scheduler.
-func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
-	tasks := sched.Expand(e.g, e.sliceElems())
-	sched.OrderByDegreeDesc(e.g, tasks)
+// workerCount clamps the configured thread count to the task count.
+func (e *Engine) workerCount(tasks int) int {
 	threads := e.o.Threads
-	if threads > len(tasks) && len(tasks) > 0 {
-		threads = len(tasks)
+	if threads > tasks && tasks > 0 {
+		threads = tasks
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	workers := make([]*worker, threads)
-	for t := range workers {
-		workers[t] = newWorker(e.g, e.pl, e.o)
-		workers[t].visit = visit
-		workers[t].ctxDone = ctx.Done()
-		workers[t].widx = t
-	}
+	return max(threads, 1)
+}
+
+// schedule drains tasks over threads workers with the work-stealing
+// scheduler — shard-local placement on sharded stores — feeding the
+// configured SchedHooks and, when tracing, steal events.
+func (e *Engine) schedule(ctx context.Context, threads int, tasks []sched.Task, run func(worker int, t sched.Task) bool) error {
 	hooks := e.o.SchedHooks
 	if tr := e.o.Trace; tr.Enabled() {
 		prev := hooks.OnSteal
@@ -270,6 +276,52 @@ func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
 				obs.Arg{Key: "victim", Val: int64(victim)},
 				obs.Arg{Key: "tasks", Val: int64(ntasks)})
 		}
+	}
+	if sm, ok := e.g.(sched.ShardMap); ok && sm.NumShards() > 1 {
+		// Sharded store: seed each root task onto the worker group bound to
+		// its start vertex's shard so a task's first adjacency read stays in
+		// local pages, and steal cross-group only as a last resort. Counts
+		// and Stats are placement-invariant; only steal traffic changes.
+		return sched.RunSharded(ctx, threads, tasks,
+			sched.ShardOptions{Map: sm, Oblivious: e.o.ShardOblivious}, run, hooks)
+	}
+	return sched.RunHooked(ctx, threads, tasks, run, hooks)
+}
+
+// Mine runs the parallel DFS over all start vertices (or the closed-form
+// census, see Options.Strategy) and returns per-pattern counts. It is
+// MineContext without cancellation; a census whose counts overflow int64
+// returns no counts (MineContext reports ErrCountOverflow).
+func (e *Engine) Mine() Result {
+	r, _ := e.mine(context.Background(), nil)
+	return r
+}
+
+// MineContext is Mine under a context: the run stops promptly once ctx is
+// cancelled or its deadline passes, returning the partial counts and stats
+// accumulated so far together with ctx's error. A cancelled closed-form
+// census has no partial counts: it returns its partial Stats only.
+func (e *Engine) MineContext(ctx context.Context) (Result, error) {
+	return e.mine(ctx, nil)
+}
+
+// mine is the shared execution path of Mine, MineContext, List and
+// ListContext: expand the vertex set into (possibly hub-sliced) tasks, seed
+// them degree-descending, and drain them with the work-stealing scheduler.
+// Census plans without a visitor go to the closed-form solver instead.
+func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
+	if e.census != nil && visit == nil {
+		return e.solveCensus(ctx)
+	}
+	tasks := sched.Expand(e.g, e.sliceElems())
+	sched.OrderByDegreeDesc(e.g, tasks)
+	threads := e.workerCount(len(tasks))
+	workers := make([]*worker, threads)
+	for t := range workers {
+		workers[t] = newWorker(e.g, e.pl, e.o)
+		workers[t].visit = visit
+		workers[t].ctxDone = ctx.Done()
+		workers[t].widx = t
 	}
 	onDone := e.o.OnTaskDone
 	run := func(t int, task sched.Task) bool {
@@ -289,17 +341,7 @@ func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
 		onDone(t, after-before)
 		return ok
 	}
-	var err error
-	if sm, ok := e.g.(sched.ShardMap); ok && sm.NumShards() > 1 {
-		// Sharded store: seed each root task onto the worker group bound to
-		// its start vertex's shard so a task's first adjacency read stays in
-		// local pages, and steal cross-group only as a last resort. Counts
-		// and Stats are placement-invariant; only steal traffic changes.
-		err = sched.RunSharded(ctx, threads, tasks,
-			sched.ShardOptions{Map: sm, Oblivious: e.o.ShardOblivious}, run, hooks)
-	} else {
-		err = sched.RunHooked(ctx, threads, tasks, run, hooks)
-	}
+	err := e.schedule(ctx, threads, tasks, run)
 	total := Result{Counts: make([]int64, len(e.pl.Patterns))}
 	for _, w := range workers {
 		for i, c := range w.counts {
@@ -313,13 +355,14 @@ func (e *Engine) mine(ctx context.Context, visit Visitor) (Result, error) {
 	return total, err
 }
 
-// Mine is the convenience one-shot: build an engine and run it.
+// Mine is the convenience one-shot: build an engine and run it. Its error
+// is a construction error or ErrCountOverflow.
 func Mine(g graph.Store, pl *plan.Plan, o Options) (Result, error) {
 	e, err := NewEngine(g, pl, o)
 	if err != nil {
 		return Result{}, err
 	}
-	return e.Mine(), nil
+	return e.mine(context.Background(), nil)
 }
 
 // MineContext is the one-shot with cancellation/deadline support; on ctx

@@ -140,33 +140,6 @@ func TestNoSymmetryMode(t *testing.T) {
 	}
 }
 
-// TestMotifCountsMatchOracles verifies 3- and 4-motif counting against both
-// the ESU oblivious engine and brute force.
-func TestMotifCountsMatchOracles(t *testing.T) {
-	for gname, g := range testGraphs(t) {
-		for k := 3; k <= 4; k++ {
-			counts, motifs, err := MotifCounts(g, k, Options{Threads: 4})
-			if err != nil {
-				t.Fatalf("%d-MC on %s: %v", k, gname, err)
-			}
-			obl := MineOblivious(g, k, 2)
-			var oblTotal int64
-			for i, m := range motifs {
-				if want := obl.CountInduced(m); counts[i] != want {
-					t.Errorf("%d-MC %s on %s: engine=%d esu=%d", k, m.Name(), gname, counts[i], want)
-				}
-				if want := BruteCount(g, m, true); counts[i] != want {
-					t.Errorf("%d-MC %s on %s: engine=%d brute=%d", k, m.Name(), gname, counts[i], want)
-				}
-				oblTotal += obl.CountInduced(m)
-			}
-			if oblTotal != obl.Enumerated {
-				t.Errorf("%d-MC on %s: ESU classified %d of %d", k, gname, oblTotal, obl.Enumerated)
-			}
-		}
-	}
-}
-
 // TestMultiPatternTree verifies the merged diamond + tailed-triangle plan of
 // Listing 2 and a mixed edge-induced pair.
 func TestMultiPatternTree(t *testing.T) {

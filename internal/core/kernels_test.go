@@ -86,19 +86,20 @@ func TestKernelInvarianceDAG(t *testing.T) {
 }
 
 // TestKernelInvarianceInduced exercises Disconnected sets (difference
-// kernels) through vertex-induced motif plans.
+// kernels) through vertex-induced motif plans. The DFS is pinned: the
+// closed-form census would answer the plan without any set-op kernel.
 func TestKernelInvarianceInduced(t *testing.T) {
 	g := graph.ChungLu(400, 3200, 2.4, 9)
 	pl, err := plan.CompileMotifs(4, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Mine(g, pl, Options{Threads: 1, Kernel: KernelMergeOnly})
+	ref, err := Mine(g, pl, Options{Threads: 1, Kernel: KernelMergeOnly, Strategy: StrategyDFS})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kernel := range allKernels {
-		res, err := Mine(g, pl, Options{Threads: 4, Kernel: kernel})
+		res, err := Mine(g, pl, Options{Threads: 4, Kernel: kernel, Strategy: StrategyDFS})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -89,7 +90,7 @@ func TestStorageBackendEquivalence(t *testing.T) {
 	}
 	opts := []Options{
 		{Threads: 4},
-		{Threads: 8, Kernel: KernelMergeOnly, SliceElems: 16},
+		{Threads: 8, Kernel: KernelMergeOnly, SliceElems: 16, Strategy: StrategyDFS},
 	}
 	for gname, g := range inputs {
 		for dag := 0; dag < 2; dag++ {
@@ -151,7 +152,8 @@ func TestStorageBackendShardObliviousEquivalence(t *testing.T) {
 
 // TestStorageBackendCancellation checks cancellation-with-partial-results
 // works on every backend: the run returns the context error, and the partial
-// counts never exceed the full run's.
+// counts never exceed the full run's. The DFS is pinned: its partial counts
+// are what is under test (a cancelled closed-form census has none).
 func TestStorageBackendCancellation(t *testing.T) {
 	g := graph.RMAT(11, 40000, 0.57, 0.19, 0.19, 23)
 	stores := storageBackends(t, g)
@@ -159,20 +161,19 @@ func TestStorageBackendCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Mine(stores["heap"], pl, Options{Threads: 4})
+	full, err := Mine(stores["heap"], pl, Options{Threads: 4, Strategy: StrategyDFS})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, st := range stores {
-		var fired int64
+		var fired atomic.Int64
 		ctx, cancel := context.WithCancel(context.Background())
-		o := Options{Threads: 4, OnTaskDone: func(w int, matches int64) {
-			if fired++; fired == 10 {
+		// OnTaskDone runs on worker goroutines: the counter is atomic.
+		o := Options{Threads: 4, Strategy: StrategyDFS, OnTaskDone: func(w int, matches int64) {
+			if fired.Add(1) == 10 {
 				cancel()
 			}
 		}}
-		// OnTaskDone runs on worker goroutines; single increment per task is
-		// racy across workers but only needs to fire cancel roughly early.
 		got, err := MineContext(ctx, st, pl, o)
 		cancel()
 		if err == nil {

@@ -31,6 +31,7 @@ func TestKernelpin(t *testing.T) {
 		Pins: []FieldPin{
 			{Field: "Kernel", Want: "KernelMergeOnly"},
 			{Field: "AuxGraph", Want: "AuxOff", ZeroIsPinned: true},
+			{Field: "Strategy", Want: "StrategyDFS"},
 		},
 	})
 	runWantTest(t, a, "kernelpin")

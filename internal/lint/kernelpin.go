@@ -5,9 +5,11 @@ package lint
 // AutoMine) and the SIU/SDU cycle model, so every core.Options constructed
 // on a path reachable from the paper-figure runners must pin each configured
 // field (KernelpinConfig.Pins): Kernel: KernelMergeOnly — the adaptive
-// kernels (PR 2) are benchmarked separately — and AuxGraph: AuxOff — the
-// auxiliary-graph layer (PR 7) prunes adjacency rows the baselines must read
-// in full. The analyzer builds a static call/reference graph from the runner
+// kernels are benchmarked separately — AuxGraph: AuxOff — the
+// auxiliary-graph layer prunes adjacency rows the baselines must read in
+// full — and Strategy: StrategyDFS — the baselines enumerate every
+// embedding, where the default would answer the 3-MC rows in closed form.
+// The analyzer builds a static call/reference graph from the runner
 // roots, finds every reachable core.Options composite literal, and accepts,
 // per pin: the pinned constant, an absent field when the zero value is the
 // constant (AuxOff), or a parameter of the enclosing function that is itself
@@ -41,8 +43,9 @@ type KernelpinConfig struct {
 }
 
 // Kernelpin is the production instance: figure runners model merge-based
-// baselines with full adjacency rows, so both the adaptive kernels and the
-// auxiliary-graph layer must be provably off on their paths.
+// enumerating baselines with full adjacency rows, so the adaptive kernels,
+// the auxiliary-graph layer and the closed-form motif census must be
+// provably off on their paths.
 var Kernelpin = NewKernelpin(KernelpinConfig{
 	RootsPkg:    "repro/internal/bench",
 	Roots:       []string{"Table2", "Fig7", "BaselineSeconds"},
@@ -51,6 +54,7 @@ var Kernelpin = NewKernelpin(KernelpinConfig{
 	Pins: []FieldPin{
 		{Field: "Kernel", Want: "KernelMergeOnly"},
 		{Field: "AuxGraph", Want: "AuxOff", ZeroIsPinned: true},
+		{Field: "Strategy", Want: "StrategyDFS"},
 	},
 })
 
@@ -59,7 +63,7 @@ var Kernelpin = NewKernelpin(KernelpinConfig{
 func NewKernelpin(cfg KernelpinConfig) *Analyzer {
 	return &Analyzer{
 		Name:        "kernelpin",
-		Doc:         "paper-figure runner paths must construct core.Options with every configured field pinned (Kernel: KernelMergeOnly, AuxGraph: AuxOff)",
+		Doc:         "paper-figure runner paths must construct core.Options with every configured field pinned (Kernel: KernelMergeOnly, AuxGraph: AuxOff, Strategy: StrategyDFS)",
 		ProgramWide: true,
 		Run:         func(pass *Pass) { runKernelpin(pass, cfg) },
 	}
@@ -199,7 +203,7 @@ func checkPin(pass *Pass, cfg KernelpinConfig, pin FieldPin,
 			if pin.ZeroIsPinned {
 				continue // the zero value is the pinned constant
 			}
-			pass.Reportf(s.lit.Pos(), "%s.%s constructed on a paper-runner path without %s: %s (zero value selects the adaptive kernels and changes what the figures measure)",
+			pass.Reportf(s.lit.Pos(), "%s.%s constructed on a paper-runner path without %s: %s (its zero value selects adaptive behavior and changes what the figures measure)",
 				pkgBase(cfg.OptionsPkg), cfg.OptionsType, pin.Field, pin.Want)
 			continue
 		}

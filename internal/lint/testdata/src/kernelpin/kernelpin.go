@@ -14,14 +14,17 @@ import (
 // Table2 constructs one pinned literal, one literal missing the Kernel
 // field, and one pinned to the wrong constant. AuxGraph's zero value IS the
 // pinned AuxOff, so literals that omit it are fine; writing any other
-// constant is a violation.
+// constant is a violation. Strategy's zero value is StrategyAuto (the
+// closed-form motif census), so it must be written out like Kernel.
 func Table2() {
-	use(core.Options{Threads: 20, Kernel: core.KernelMergeOnly})            // pinned: ok (AuxGraph absent = AuxOff)
-	use(core.Options{Threads: 20})                                          // want `without Kernel: KernelMergeOnly`
-	use(core.Options{Kernel: core.KernelAuto})                              // want `must be the KernelMergeOnly constant`
-	use(core.Options{Kernel: core.KernelMergeOnly, AuxGraph: core.AuxOff})  // explicit AuxOff: ok
-	use(core.Options{Kernel: core.KernelMergeOnly, AuxGraph: core.AuxAuto}) // want `Options.AuxGraph on a paper-runner path must be the AuxOff constant`
-	use2(plan.Options{})                                                    // different Options type: ignored
+	use(core.Options{Threads: 20, Kernel: core.KernelMergeOnly, Strategy: core.StrategyDFS})            // pinned: ok (AuxGraph absent = AuxOff)
+	use(core.Options{Threads: 20, Strategy: core.StrategyDFS})                                          // want `without Kernel: KernelMergeOnly`
+	use(core.Options{Kernel: core.KernelAuto, Strategy: core.StrategyDFS})                              // want `must be the KernelMergeOnly constant`
+	use(core.Options{Kernel: core.KernelMergeOnly, AuxGraph: core.AuxOff, Strategy: core.StrategyDFS})  // explicit AuxOff: ok
+	use(core.Options{Kernel: core.KernelMergeOnly, AuxGraph: core.AuxAuto, Strategy: core.StrategyDFS}) // want `Options.AuxGraph on a paper-runner path must be the AuxOff constant`
+	use(core.Options{Threads: 20, Kernel: core.KernelMergeOnly})                                        // want `without Strategy: StrategyDFS`
+	use(core.Options{Kernel: core.KernelMergeOnly, Strategy: core.StrategyAuto})                        // want `Options.Strategy on a paper-runner path must be the StrategyDFS constant`
+	use2(plan.Options{})                                                                                // different Options type: ignored
 }
 
 // Fig7 forwards through a parameter that every reachable caller pins: the
@@ -45,12 +48,12 @@ func BaselineSeconds(k core.KernelPolicy, m core.AuxMode) { // want `runner Base
 // kernelSeconds is reachable plumbing whose Options literal takes its Kernel
 // from a parameter, so every reachable call site must pin it.
 func kernelSeconds(kernel core.KernelPolicy) {
-	use(core.Options{Threads: 1, Kernel: kernel})
+	use(core.Options{Threads: 1, Kernel: kernel, Strategy: core.StrategyDFS})
 }
 
 // auxSeconds is the same plumbing shape for the aux-graph mode.
 func auxSeconds(mode core.AuxMode) {
-	use(core.Options{Threads: 1, Kernel: core.KernelMergeOnly, AuxGraph: mode})
+	use(core.Options{Threads: 1, Kernel: core.KernelMergeOnly, AuxGraph: mode, Strategy: core.StrategyDFS})
 }
 
 // unreachable is never referenced from a runner: its unpinned literal is not

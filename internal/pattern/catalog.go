@@ -4,7 +4,10 @@ package pattern
 // Fig 11) plus generators for pattern families and the connected k-pattern
 // enumeration behind k-motif counting.
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Triangle returns K_3.
 func Triangle() *Pattern { return KClique(3).WithName("triangle") }
@@ -149,6 +152,29 @@ func Motifs(k int) []*Pattern {
 		out = append(out, p)
 	}
 	return out
+}
+
+// motifIndexes caches MotifIndex's maps, each built on first use.
+var motifIndexes [7]struct {
+	once sync.Once
+	m    map[uint64]int
+}
+
+// MotifIndex maps the canonical code of every connected k-vertex pattern
+// (2 ≤ k ≤ 6) to its position in Motifs(k), so a pattern under any labeling
+// can be placed in census order. The map is shared and must not be modified.
+func MotifIndex(k int) map[uint64]int {
+	if k < 2 || k > 6 {
+		panic(fmt.Sprintf("pattern: MotifIndex supports 2..6 vertices, got %d", k))
+	}
+	c := &motifIndexes[k]
+	c.once.Do(func() {
+		c.m = map[uint64]int{}
+		for i, m := range Motifs(k) {
+			c.m[m.CanonicalCode()] = i
+		}
+	})
+	return c.m
 }
 
 // motifName assigns stable human-readable names to small motifs, falling back

@@ -301,3 +301,61 @@ func TestMotifPlansCoverAllMotifs(t *testing.T) {
 		}
 	}
 }
+
+// TestMotifCensusDetection: complete vertex-induced 3/4-motif sets are
+// recognized in any order, with each slot mapped to its motif; anything
+// else — edge-induced, partial, 5-motif, clique-DAG — is not.
+func TestMotifCensusDetection(t *testing.T) {
+	for k := 3; k <= 4; k++ {
+		pl, err := CompileMotifs(k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotK, motif, ok := pl.MotifCensus()
+		if !ok || gotK != k {
+			t.Fatalf("CompileMotifs(%d): MotifCensus = %d, %v", k, gotK, ok)
+		}
+		for i, m := range motif {
+			if m != i {
+				t.Errorf("CompileMotifs(%d): slot %d mapped to motif %d", k, i, m)
+			}
+		}
+	}
+
+	motifs := pattern.Motifs(4)
+	perm := []int{3, 0, 5, 1, 4, 2}
+	shuffled := make([]*pattern.Pattern, len(perm))
+	for i, j := range perm {
+		shuffled[i] = motifs[j]
+	}
+	pl, err := CompileMulti(shuffled, Options{Induced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, motif, ok := pl.MotifCensus(); !ok {
+		t.Error("shuffled 4-motif plan not recognized")
+	} else {
+		for i := range perm {
+			if motif[i] != perm[i] {
+				t.Errorf("shuffled slot %d mapped to motif %d, want %d", i, motif[i], perm[i])
+			}
+		}
+	}
+
+	reject := map[string]func() (*Plan, error){
+		"edge-induced": func() (*Plan, error) { return CompileMulti(pattern.Motifs(4), Options{}) },
+		"partial":      func() (*Plan, error) { return CompileMulti(pattern.Motifs(4)[1:], Options{Induced: true}) },
+		"5-motifs":     func() (*Plan, error) { return CompileMotifs(5, Options{}) },
+		"clique-dag":   func() (*Plan, error) { return CompileCliqueDAG(3) },
+		"single":       func() (*Plan, error) { return Compile(pattern.Triangle(), Options{Induced: true}) },
+	}
+	for name, build := range reject {
+		pl, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := pl.MotifCensus(); ok {
+			t.Errorf("%s plan recognized as a motif census", name)
+		}
+	}
+}

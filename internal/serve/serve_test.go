@@ -143,6 +143,48 @@ func TestServeProgressDuringRun(t *testing.T) {
 	}
 }
 
+// TestServeProgressCensusRun: a 4-motif census answered in closed form keeps
+// the progress contract — the engine's TaskCount sizes the run, one OnTask
+// per solver task brings tasks_done to it, and the single OnTaskDone carries
+// the raw total, so partial_matches ends at Σ counts (divisors are 1).
+func TestServeProgressCensusRun(t *testing.T) {
+	g := graph.ChungLu(600, 4800, 2.3, 9)
+	pl, err := plan.CompileMotifs(4, plan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prog Progress
+	eng, err := core.NewEngine(g, pl, core.Options{
+		Threads:    4,
+		SchedHooks: prog.Hooks(),
+		OnTaskDone: prog.OnTaskDone,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.BeginRun(eng.TaskCount())
+	res, err := eng.MineContext(context.Background())
+	prog.EndRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Extensions != 0 {
+		t.Fatalf("census plan was enumerated (%d extensions), want the closed-form solver", res.Stats.Extensions)
+	}
+	snap := prog.Snapshot()
+	if snap.Tasks != int64(g.NumVertices()) || snap.TasksDone != snap.Tasks || snap.TasksDone != res.Stats.Tasks {
+		t.Errorf("tasks=%d tasks_done=%d Stats.Tasks=%d, want all equal to %d vertices",
+			snap.Tasks, snap.TasksDone, res.Stats.Tasks, g.NumVertices())
+	}
+	var total int64
+	for _, c := range res.Counts {
+		total += c
+	}
+	if total == 0 || snap.PartialMatches != total {
+		t.Errorf("partial_matches=%d, want Σ counts = %d", snap.PartialMatches, total)
+	}
+}
+
 // TestProgressStealTiers checks the sharded-run locality split reaches the
 // snapshot and the /debug/progress document under the documented field names.
 func TestProgressStealTiers(t *testing.T) {
