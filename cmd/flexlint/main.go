@@ -14,17 +14,20 @@
 //	detlint       — determinism of the cycle model (sim, cmap, plan, graph)
 //	statsum       — Stats Add/Merge methods aggregate every numeric field
 //	kernelpin     — paper-figure runners pin Kernel: KernelMergeOnly
-//	lockcheck     — no copied mutexes / non-deferred Unlock (graph, sched, serve, core)
 //	boundarg      — no constant bound where a variable bound is in scope
 //	adjwrite      — no writes into Adj results (read-only views; mmap faults)
 //	lockorder     — the whole-repo lock-acquisition graph is acyclic (no
 //	                two code paths take the same mutexes in opposite order)
+//	                and every Unlock/RUnlock is deferred (graph, sched,
+//	                serve, core)
 //	atomichygiene — a var ever touched through sync/atomic is touched
 //	                atomically everywhere (no torn reads / racy writes)
 //	noalloc       — //flexlint:noalloc hot-path functions (setops kernels,
 //	                core walk/runTask, cmap probes) provably never allocate
 //	goroleak      — every go statement in sched/serve/sim has a provable
 //	                join (WaitGroup pairing) or cancellation/completion path
+//
+// Copied mutexes are left to `go vet` (copylocks), which CI also runs.
 package main
 
 import (

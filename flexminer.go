@@ -57,7 +57,8 @@ type (
 	// CompileOptions configure the compiler (induced semantics, ablations).
 	CompileOptions = plan.Options
 	// MineOptions configure the CPU engine (threads, slicing, kernels, aux
-	// graphs, census strategy).
+	// graphs, census strategy). Sharded stores always get shard-local task
+	// placement; no option turns it off.
 	MineOptions = core.Options
 	// MineResult is the CPU engine outcome.
 	MineResult = core.Result

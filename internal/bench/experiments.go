@@ -104,8 +104,8 @@ func Table2(quick bool) ([]Table2Row, error) {
 			}
 			// Both software baselines are merge-based enumerating systems;
 			// pin the kernel policy and the DFS so Table II keeps modeling
-			// them (the adaptive kernels are benchmarked separately in
-			// SetopsBench; the closed-form census would answer 3-MC).
+			// them (the adaptive kernels are benchmarked separately by
+			// perfbench; the closed-form census would answer 3-MC).
 			start := now()
 			amEng, err := core.NewEngine(amw.G, amw.Plan, core.Options{Threads: BaselineThreads, Kernel: core.KernelMergeOnly, Strategy: core.StrategyDFS})
 			if err != nil {

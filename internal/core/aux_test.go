@@ -27,7 +27,8 @@ func compileAux(t *testing.T, p *pattern.Pattern) *plan.Plan {
 
 // TestAuxModeCountInvariance is the correctness core: mined counts must be
 // bit-identical across aux off/auto/on, for plans with directives (house,
-// 5-motif census) and without (cliques), under both kernel policies.
+// 4-motif census) and without (cliques, symmetric and oriented-DAG), under
+// both kernel policies. A clique plan must never build an aux row.
 func TestAuxModeCountInvariance(t *testing.T) {
 	inputs := map[string]*graph.Graph{
 		"er":   graph.ErdosRenyi(300, 2400, 17),
@@ -42,8 +43,17 @@ func TestAuxModeCountInvariance(t *testing.T) {
 	} else {
 		plans["4-MC"] = pl
 	}
-	for gname, g := range inputs {
+	if pl, err := plan.CompileCliqueDAG(4); err != nil {
+		t.Fatal(err)
+	} else {
+		plans["4-CL-dag"] = pl
+	}
+	for gname, sym := range inputs {
 		for pname, pl := range plans {
+			g := sym
+			if pl.RequiresDAG {
+				g = sym.Orient()
+			}
 			for _, kernel := range []KernelPolicy{KernelAuto, KernelMergeOnly} {
 				// DFS pinned: the aux layer is a DFS mechanism, and the
 				// closed-form census would bypass it on the 4-MC plan.
@@ -66,9 +76,9 @@ func TestAuxModeCountInvariance(t *testing.T) {
 					if pname == "house" && got.Stats.AuxBuilt == 0 {
 						t.Errorf("%s/house aux=%v built no aux rows", gname, mode)
 					}
-					if pname == "4-CL" && got.Stats.AuxBuilt != 0 {
-						t.Errorf("%s/4-CL aux=%v built %d aux rows; clique plans carry no directives",
-							gname, mode, got.Stats.AuxBuilt)
+					if (pname == "4-CL" || pname == "4-CL-dag") && got.Stats.AuxBuilt != 0 {
+						t.Errorf("%s/%s aux=%v built %d aux rows; clique plans carry no directives",
+							gname, pname, mode, got.Stats.AuxBuilt)
 					}
 				}
 			}
@@ -92,6 +102,37 @@ func TestAuxReuseDominatesBuilds(t *testing.T) {
 	}
 	if res.Stats.AuxBytesPeak <= 0 {
 		t.Fatalf("AuxBytesPeak = %d after %d builds", res.Stats.AuxBytesPeak, res.Stats.AuxBuilt)
+	}
+}
+
+// TestAuxWorkReduction locks in the layer's payoff on schedule-invariant
+// work rather than wall time: on the house plan, aux=auto must cut set-op
+// work (merge iterations plus gallop and bitmap probes) by at least 1.2x
+// against aux=off at identical counts, under both the merge-only and the
+// adaptive kernels.
+func TestAuxWorkReduction(t *testing.T) {
+	g := graph.RMAT(8, 2200, 0.57, 0.19, 0.19, 5)
+	pl := compileAux(t, pattern.House())
+	work := func(s Stats) int64 { return s.SetOpIterations + s.GallopProbes + s.BitmapProbes }
+	for _, kernel := range []KernelPolicy{KernelMergeOnly, KernelAuto} {
+		base := Options{Threads: 2, Kernel: kernel}
+		off, err := Mine(g, pl, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.AuxGraph = AuxAuto
+		auto, err := Mine(g, pl, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(auto.Counts, off.Counts) {
+			t.Fatalf("%v: aux=auto counts %v != off %v", kernel, auto.Counts, off.Counts)
+		}
+		wOff, wAuto := work(off.Stats), work(auto.Stats)
+		if wAuto <= 0 || float64(wOff) < 1.2*float64(wAuto) {
+			t.Errorf("%v: set-op work off=%d auto=%d, want a reduction of at least 1.2x", kernel, wOff, wAuto)
+		}
+		t.Logf("%v: set-op work off=%d auto=%d (%.1fx)", kernel, wOff, wAuto, float64(wOff)/float64(wAuto))
 	}
 }
 

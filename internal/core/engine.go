@@ -74,14 +74,6 @@ type Options struct {
 	// come from the simulator, whose coordinator serializes emission.
 	Trace *obs.Tracer
 
-	// ShardOblivious disables shard-local task placement for sharded stores:
-	// tasks are dealt round-robin across all workers regardless of which
-	// shard owns their start vertex, exactly like a non-sharded run. Counts
-	// and Stats are invariant under this switch — only steal traffic (and
-	// wall-clock) changes — so it is the baseline leg of locality A/Bs
-	// (experiments bench-storage). Ignored for non-sharded stores.
-	ShardOblivious bool
-
 	// SchedHooks observe the work-stealing scheduler (steals, task
 	// retirements) during the run — the live-progress feed of serve mode.
 	// Callbacks run on worker goroutines and are merged with (fire before)
@@ -283,7 +275,7 @@ func (e *Engine) schedule(ctx context.Context, threads int, tasks []sched.Task, 
 		// local pages, and steal cross-group only as a last resort. Counts
 		// and Stats are placement-invariant; only steal traffic changes.
 		return sched.RunSharded(ctx, threads, tasks,
-			sched.ShardOptions{Map: sm, Oblivious: e.o.ShardOblivious}, run, hooks)
+			sched.ShardOptions{Map: sm}, run, hooks)
 	}
 	return sched.RunHooked(ctx, threads, tasks, run, hooks)
 }

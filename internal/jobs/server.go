@@ -33,6 +33,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -787,8 +789,13 @@ func (s *Server) graphFor(ref GraphRef) (graph.Store, error) {
 	return r.store, nil
 }
 
-// confinePath resolves rel under root, rejecting absolute paths and any
-// traversal that would escape the root.
+// confinePath resolves rel under root, rejecting absolute paths, any
+// traversal that would escape the root, and any symlink whose target lies
+// outside it. Symlinks are resolved on both sides, so a link that stays
+// inside the root is accepted, and the returned path is the resolved one:
+// the file opened is the file checked. A path that does not exist yet is
+// accepted when its existing prefix resolves inside the root (opening it
+// fails the job later).
 func confinePath(root, rel string) (string, error) {
 	if root == "" {
 		return "", fmt.Errorf("jobs: graph path references are disabled")
@@ -796,9 +803,48 @@ func confinePath(root, rel string) (string, error) {
 	if filepath.IsAbs(rel) {
 		return "", fmt.Errorf("jobs: graph path must be relative to the graph root")
 	}
+	escapes := fmt.Errorf("jobs: graph path escapes the graph root")
 	clean := filepath.Clean(rel)
 	if clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) {
-		return "", fmt.Errorf("jobs: graph path escapes the graph root")
+		return "", escapes
 	}
-	return filepath.Join(root, clean), nil
+	realRoot, err := evalExisting(root)
+	if err != nil {
+		return "", fmt.Errorf("jobs: graph root does not resolve: %w", err)
+	}
+	full, err := evalExisting(filepath.Join(root, clean))
+	if err != nil {
+		// A dangling or looping link; its target is not echoed back.
+		return "", fmt.Errorf("jobs: graph path %q does not resolve", rel)
+	}
+	if r, err := filepath.Rel(realRoot, full); err != nil || r == ".." || strings.HasPrefix(r, ".."+string(filepath.Separator)) {
+		return "", escapes
+	}
+	return full, nil
+}
+
+// evalExisting is filepath.EvalSymlinks for a path whose tail may not exist:
+// the longest existing prefix is resolved and the missing components are
+// re-joined (they cannot be links). A component that exists but does not
+// resolve (a dangling link) is an error, so its target is never trusted.
+func evalExisting(p string) (string, error) {
+	var tail []string
+	for {
+		resolved, err := filepath.EvalSymlinks(p)
+		if err == nil {
+			for i := len(tail) - 1; i >= 0; i-- {
+				resolved = filepath.Join(resolved, tail[i])
+			}
+			return resolved, nil
+		}
+		if _, lerr := os.Lstat(p); !errors.Is(lerr, fs.ErrNotExist) {
+			return "", err
+		}
+		parent := filepath.Dir(p)
+		if parent == p {
+			return "", err
+		}
+		tail = append(tail, filepath.Base(p))
+		p = parent
+	}
 }

@@ -6,6 +6,8 @@ package jobs
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -389,5 +391,51 @@ func TestGraphPathConfinement(t *testing.T) {
 	}
 	if _, err := confinePath("", "ok.bin"); err == nil {
 		t.Error("confinePath with no root should reject everything")
+	}
+
+	// Symlinks are resolved: a link inside the root that points outside it
+	// escapes (directly, as a directory prefix, or dangling), while a link
+	// that stays inside is accepted and resolves to its target.
+	base := t.TempDir()
+	root, outside := filepath.Join(base, "root"), filepath.Join(base, "outside")
+	for _, d := range []string{filepath.Join(root, "sub"), outside} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, f := range []string{filepath.Join(root, "sub", "in.bin"), filepath.Join(outside, "secret.bin")} {
+		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	links := map[string]string{
+		"out.bin":     filepath.Join(outside, "secret.bin"),
+		"outdir":      outside,
+		"dangling":    filepath.Join(outside, "missing.bin"),
+		"in.bin":      filepath.Join(root, "sub", "in.bin"),
+		"rel-in.bin":  filepath.Join("sub", "in.bin"),
+		"rel-out.bin": filepath.Join("..", "outside", "secret.bin"),
+	}
+	for name, target := range links {
+		if err := os.Symlink(target, filepath.Join(root, name)); err != nil {
+			t.Skipf("symlinks unavailable: %v", err)
+		}
+	}
+	for _, bad := range []string{"out.bin", "outdir/secret.bin", "outdir/missing.bin", "dangling", "rel-out.bin"} {
+		if got, err := confinePath(root, bad); err == nil {
+			t.Errorf("confinePath(%q) followed a symlink out of the root to %s", bad, got)
+		}
+	}
+	want, err := filepath.EvalSymlinks(filepath.Join(root, "sub", "in.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, good := range []string{"in.bin", "rel-in.bin", "sub/in.bin"} {
+		if got, err := confinePath(root, good); err != nil || got != want {
+			t.Errorf("confinePath(%q) = %q, %v; want %q", good, got, err, want)
+		}
+	}
+	if _, err := confinePath(root, "sub/not-yet.bin"); err != nil {
+		t.Errorf("confinePath rejected a missing in-root path: %v", err)
 	}
 }

@@ -1,6 +1,12 @@
 package lint
 
-import "testing"
+import (
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
 
 // Each analyzer runs against its seeded-violation fixture package; the
 // fixture's `// want` comments are the golden expectations. Test instances
@@ -35,12 +41,6 @@ func TestKernelpin(t *testing.T) {
 		},
 	})
 	runWantTest(t, a, "kernelpin")
-}
-
-func TestLockcheck(t *testing.T) {
-	prog := testProgram(t)
-	a := NewLockcheck(LockcheckConfig{Scope: []string{fixturePath(prog, "lockcheck")}})
-	runWantTest(t, a, "lockcheck")
 }
 
 func TestBoundarg(t *testing.T) {
@@ -107,39 +107,48 @@ func TestNoallocHotPathCoverage(t *testing.T) {
 	}
 }
 
-// TestLockcheckLockorderDedupe: one seeded non-deferred Unlock, two
-// analyzers that each flag it, one surviving report.
-func TestLockcheckLockorderDedupe(t *testing.T) {
+// TestVetCopylocks pins the division of labour behind flexlint having no
+// copied-lock analyzer: `go vet`'s copylocks pass (a CI step over the same
+// packages) must report every copy shape in the copylocks fixture — a
+// by-value parameter, a value receiver, an assignment and a range variable —
+// and nothing else there. Non-deferred Unlock/RUnlock is lockorder's
+// (TestLockorder).
+func TestVetCopylocks(t *testing.T) {
 	prog := testProgram(t)
-	path := fixturePath(prog, "lockdedupe")
-	pkg := prog.Package(path)
+	pkg := prog.Package(fixturePath(prog, "copylocks"))
 	if pkg == nil {
-		t.Fatal("lockdedupe fixture not loaded")
+		t.Fatal("copylocks fixture not loaded")
 	}
-	lc := NewLockcheck(LockcheckConfig{Scope: []string{path}})
-	lo := NewLockorder(LockorderConfig{Scope: []string{path}})
-
-	// Each analyzer alone sees the bug...
-	for _, a := range []*Analyzer{lc, lo} {
-		if got := Run(prog, []*Analyzer{a}, []*Package{pkg}); len(got) != 1 {
-			for _, d := range got {
-				t.Logf("  %s", Format(prog, d))
-			}
-			t.Fatalf("%s alone: want 1 diagnostic, got %d", a.Name, len(got))
+	root := repoRoot(t)
+	cmd := exec.Command("go", "vet", "-copylocks", "./internal/lint/testdata/src/copylocks")
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	if _, exit := err.(*exec.ExitError); err != nil && !exit {
+		t.Fatalf("go vet did not run: %v", err)
+	}
+	var got []reported
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
-	}
-	// ...together they report it once, with lockcheck's wording.
-	diags := Run(prog, []*Analyzer{lc, lo}, []*Package{pkg})
-	if len(diags) != 1 {
-		for _, d := range diags {
-			t.Logf("  %s", Format(prog, d))
+		m := vetLineRE.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("unparsed go vet output: %q", line)
 		}
-		t.Fatalf("dedupe: want exactly 1 diagnostic, got %d", len(diags))
+		file := m[1]
+		if !filepath.IsAbs(file) {
+			file = filepath.Join(root, file)
+		}
+		got = append(got, reported{key: file + ":" + m[2], source: "vet", msg: m[3]})
 	}
-	if diags[0].Analyzer != "lockcheck" {
-		t.Fatalf("dedupe should keep the first-registered analyzer's wording (lockcheck), got %s", diags[0].Analyzer)
+	if len(got) == 0 && err != nil {
+		t.Fatalf("go vet failed without diagnostics: %v\n%s", err, out)
 	}
+	matchWants(t, wantsIn(t, prog, pkg), got)
 }
+
+// vetLineRE splits one go vet diagnostic into file, line and message.
+var vetLineRE = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*)$`)
 
 // TestRepoIsClean is the acceptance gate: the production suite must report
 // nothing on the repo itself (fixtures excluded). A regression that trips an

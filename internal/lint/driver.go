@@ -11,12 +11,11 @@ import (
 )
 
 // DefaultAnalyzers returns the production flexlint suite, in the order the
-// diagnostics documentation lists them. Lockcheck precedes Lockorder so that
-// when both flag the same non-deferred Unlock, dedupe keeps lockcheck's
-// (per-function, more precise) wording.
+// diagnostics documentation lists them. Copied locks are left to `go vet`
+// (copylocks), which CI runs over the same packages.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		Detlint, Statsum, Kernelpin, Lockcheck, Boundarg, Adjwrite,
+		Detlint, Statsum, Kernelpin, Boundarg, Adjwrite,
 		Lockorder, AtomicHygiene, Noalloc, Goroleak,
 	}
 }
@@ -51,22 +50,6 @@ func Run(prog *Program, analyzers []*Analyzer, targets []*Package) []Diagnostic 
 			a.Run(&Pass{Prog: prog, Pkg: pkg, analyzer: a, diags: &diags})
 		}
 	}
-	// Cross-analyzer dedupe: one underlying bug, one report. Keys are
-	// assigned by the analyzers (e.g. "nondef-unlock:<pos>" from both
-	// lockcheck and lockorder); the first report in analyzer registration
-	// order survives.
-	seen := map[string]bool{}
-	kept := diags[:0]
-	for _, d := range diags {
-		if d.Dedupe != "" {
-			if seen[d.Dedupe] {
-				continue
-			}
-			seen[d.Dedupe] = true
-		}
-		kept = append(kept, d)
-	}
-	diags = kept
 	sort.Slice(diags, func(i, j int) bool {
 		pi, pj := prog.Fset.Position(diags[i].Pos), prog.Fset.Position(diags[j].Pos)
 		if pi.Filename != pj.Filename {

@@ -124,26 +124,39 @@ func runWantTest(t *testing.T, a *Analyzer, fixture string) {
 	if pkg == nil {
 		t.Fatalf("fixture package %s not loaded", fixture)
 	}
-	diags := Run(prog, []*Analyzer{a}, []*Package{pkg})
-	wants := wantsIn(t, prog, pkg)
+	var got []reported
+	for _, d := range Run(prog, []*Analyzer{a}, []*Package{pkg}) {
+		got = append(got, reported{key: posKey(prog.Fset.Position(d.Pos)), source: d.Analyzer, msg: d.Message})
+	}
+	matchWants(t, wantsIn(t, prog, pkg), got)
+}
 
+// reported is one diagnostic reduced to what want matching needs, so
+// fixtures checked by an external tool (go vet) share the matcher.
+type reported struct {
+	key, source, msg string
+}
+
+// matchWants pairs diagnostics with want patterns one to one: every
+// diagnostic must match an unused pattern on its line, and every pattern
+// must be matched.
+func matchWants(t *testing.T, wants map[string][]*regexp.Regexp, got []reported) {
+	t.Helper()
 	matched := map[string][]bool{}
 	for key, res := range wants {
 		matched[key] = make([]bool, len(res))
 	}
-	for _, d := range diags {
-		key := posKey(prog.Fset.Position(d.Pos))
-		res := wants[key]
+	for _, d := range got {
 		ok := false
-		for i, re := range res {
-			if !matched[key][i] && re.MatchString(d.Message) {
-				matched[key][i] = true
+		for i, re := range wants[d.key] {
+			if !matched[d.key][i] && re.MatchString(d.msg) {
+				matched[d.key][i] = true
 				ok = true
 				break
 			}
 		}
 		if !ok {
-			t.Errorf("unexpected diagnostic at %s: %s: %s", key, d.Analyzer, d.Message)
+			t.Errorf("unexpected diagnostic at %s: %s: %s", d.key, d.source, d.msg)
 		}
 	}
 	for key, res := range wants {

@@ -27,12 +27,6 @@ type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-
-	// Dedupe, when non-empty, names the underlying bug independently of the
-	// analyzer that spotted it. Run keeps only the first diagnostic per key,
-	// so overlapping analyzers (lockcheck and lockorder both flag a
-	// non-deferred Unlock) report one bug once.
-	Dedupe string
 }
 
 // Analyzer is one invariant checker. Per-package analyzers receive one Pass
@@ -90,17 +84,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      pos,
 		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportDeduped records a diagnostic carrying a cross-analyzer dedupe key;
-// Run keeps the first report per key (analyzer registration order wins).
-func (p *Pass) ReportDeduped(pos token.Pos, dedupe, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      pos,
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Dedupe:   dedupe,
 	})
 }
 

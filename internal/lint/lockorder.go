@@ -4,8 +4,8 @@ package lint
 // order graph over the concurrency-bearing packages (graph's hub-index cache,
 // sched's work-stealing deques, serve, core) and reports every edge that lies
 // on a cycle — two call paths acquiring the same mutexes in opposite orders
-// can deadlock under contention, which no per-function analyzer (lockcheck)
-// or runtime tool short of a lucky -race interleaving can see.
+// can deadlock under contention, which no per-function analyzer or runtime
+// tool short of a lucky -race interleaving can see.
 //
 // A mutex *identity* is a package-level sync.Mutex/RWMutex variable
 // ("sched.globalMu") or a struct field ("sched.deque.mu") — all instances of
@@ -33,15 +33,12 @@ package lint
 // as are calls through function values (dynamic). Local mutex variables have
 // no cross-function identity and are ignored. The walk linearizes branches,
 // and a callee that releases its caller's lock is not modeled; both are
-// deliberate approximations kept sound for the repo's lock shapes by
-// lockcheck's defer-only-Unlock discipline.
-//
-// lockorder also flags the non-deferred Unlock shape it has to model
-// specially; the diagnostic shares a dedupe key with lockcheck's so the same
-// call reports once.
+// deliberate approximations kept sound for the repo's lock shapes by a
+// defer-only-Unlock discipline, which lockorder enforces itself: it flags
+// every non-deferred Unlock/RUnlock on an identified mutex, the shape it has
+// to model specially. Copied locks are `go vet` copylocks' job.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -76,12 +73,6 @@ func NewLockorder(cfg LockorderConfig) *Analyzer {
 	}
 }
 
-// nondefUnlockKey is the shared lockcheck/lockorder dedupe key for one
-// non-deferred Unlock call.
-func nondefUnlockKey(call *ast.CallExpr) string {
-	return fmt.Sprintf("nondef-unlock:%d", int(call.Pos()))
-}
-
 // loCall is one static callsite with the lock set held when it executes.
 type loCall struct {
 	callee *types.Func
@@ -100,7 +91,6 @@ type loUnlock struct {
 	pos  token.Pos
 	name string
 	id   string
-	key  string
 }
 
 // loResult is one unit's walk summary.
@@ -255,7 +245,7 @@ func runLockorder(pass *Pass, cfg LockorderConfig) {
 
 	for i := range units {
 		for _, ul := range results[i].unlocks {
-			pass.ReportDeduped(ul.pos, ul.key,
+			pass.Reportf(ul.pos,
 				"%s of %s outside defer; lockorder treats the lock as released here, but a panic in the critical section leaks it",
 				ul.name, displayLockID(ul.id))
 		}
@@ -310,7 +300,7 @@ func loWalk(pkg *Package, body *ast.BlockStmt, scope []string, bodies map[*types
 					if deferCalls[n] {
 						deferredRelease[id] = true
 					} else {
-						res.unlocks = append(res.unlocks, loUnlock{pos: n.Pos(), name: callee.Name(), id: id, key: nondefUnlockKey(n)})
+						res.unlocks = append(res.unlocks, loUnlock{pos: n.Pos(), name: callee.Name(), id: id})
 						held = removeLastString(held, id)
 					}
 				}

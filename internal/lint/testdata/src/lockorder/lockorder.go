@@ -1,7 +1,8 @@
 // Package lockorderfix seeds lock-ordering violations for the lockorder
 // analyzer tests: an A→B / B→A cycle through callee summaries, a
-// holds-at-return split-helper cycle, a recursive self-deadlock, and the
-// clean release-then-reacquire shape of sched's steal sweep.
+// holds-at-return split-helper cycle, a recursive self-deadlock,
+// non-deferred Unlock/RUnlock, and the clean release-then-reacquire shape of
+// sched's steal sweep.
 package lockorderfix
 
 import "sync"
@@ -114,6 +115,13 @@ func (q *dq) put(x int) {
 	q.ts = append(q.ts, x)
 }
 
+// push holds the lock across an append without defer: a panic there leaks it.
+func (q *dq) push(x int) {
+	q.mu.Lock()
+	q.ts = append(q.ts, x)
+	q.mu.Unlock() // want `Unlock of lockorder\.dq\.mu outside defer`
+}
+
 func move(src, dst *dq) {
 	if x, ok := src.take(); ok {
 		dst.put(x)
@@ -130,4 +138,24 @@ func spawnClean(wg *sync.WaitGroup) {
 		defer wg.Done()
 		lockB()
 	}()
+}
+
+// rw exercises RUnlock: the read-side release is held to the same
+// defer-only discipline.
+type rw struct {
+	mu sync.RWMutex
+	n  int
+}
+
+func (r *rw) read() int {
+	r.mu.RLock()
+	n := r.n
+	r.mu.RUnlock() // want `RUnlock of lockorder\.rw\.mu outside defer`
+	return n
+}
+
+func (r *rw) readOK() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.n
 }

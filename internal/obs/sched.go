@@ -4,7 +4,7 @@ import "repro/internal/sched"
 
 // Scheduler counter names registered by SchedHooks. The cross-shard count is
 // the locality figure of merit for the sharded substrate: shard-local seeding
-// exists to drive it down, and bench-storage records it per backend.
+// exists to drive it down. serve exports it live (/debug/progress, /metrics).
 const (
 	SchedSteals           = "sched.steals"
 	SchedTasksStolen      = "sched.tasks_stolen"

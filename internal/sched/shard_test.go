@@ -123,7 +123,9 @@ func TestRunShardedCancellation(t *testing.T) {
 }
 
 // TestRunShardedTierClassification checks OnStealTier agrees with the
-// exported WorkerGroups mapping for every reported steal.
+// exported WorkerGroups mapping for every reported steal, and that an
+// unsharded run (RunHooked, what the engine uses for heap and mmap stores)
+// steals without ever reporting a locality tier.
 func TestRunShardedTierClassification(t *testing.T) {
 	const workers = 8
 	sm := quarterMap(1024)
@@ -159,6 +161,23 @@ func TestRunShardedTierClassification(t *testing.T) {
 	}
 	if bad.Load() != 0 {
 		t.Fatalf("%d of %d steals misclassified", bad.Load(), steals.Load())
+	}
+
+	var plain, tiered atomic.Int64
+	unsharded := Hooks{
+		OnSteal:     func(thief, victim, n int) { plain.Add(1) },
+		OnStealTier: func(thief, victim, n, tier int) { tiered.Add(1) },
+	}
+	for run := 0; run < 4; run++ {
+		if err := RunHooked(context.Background(), workers, tasks, work, unsharded); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tiered.Load() != 0 {
+		t.Fatalf("unsharded runs reported %d tiered steals", tiered.Load())
+	}
+	if plain.Load() == 0 {
+		t.Fatal("unsharded runs never stole; the tier check above is vacuous")
 	}
 }
 

@@ -158,7 +158,8 @@ func skewedInputs(n, ratio int) (a, b []VID) {
 }
 
 // The skewed pair: |a|/|b| = 1/64 ≤ 1/32, the regime where the adaptive
-// engine picks galloping. BENCH_setops.json records merge-vs-gallop here.
+// engine picks galloping. perfbench's setops.* rows (perfbench/README.md)
+// track the per-element and per-probe costs of both kernels.
 func BenchmarkIntersectSkewedMerge(b *testing.B) {
 	a, big := skewedInputs(1<<14, 64)
 	dst := make([]VID, 0, len(a))
